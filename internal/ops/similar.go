@@ -209,9 +209,9 @@ func (s *Store) probeCandidates(t *metrics.Tally, from simnet.NodeID, needle, at
 //
 // With the posting cache enabled (and a keyOf attribution function — see
 // keyscheme.ProbeSet.KeyOf), hot keys are served locally and only the misses
-// travel as a partial-batch multicast. dst, when non-nil, is the caller's
-// pooled merge buffer; the returned slice may alias it (or, on the
-// pass-through paths, be a fresh slice from the executor).
+// travel as a partial-batch multicast. Every path appends the postings to
+// dst, the caller's pooled merge buffer (nil for a fresh slice), and returns
+// the extended slice.
 func (s *Store) fetch(t *metrics.Tally, from simnet.NodeID, ks []keys.Key,
 	unbatched bool, keyOf func(triples.Posting) (keys.Key, bool),
 	dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
@@ -220,7 +220,7 @@ func (s *Store) fetch(t *metrics.Tally, from simnet.NodeID, ks []keys.Key,
 		return s.fetchCached(c.postings, t, from, ks, keyOf, dst, start)
 	}
 	if !unbatched {
-		return s.grid.MultiLookupAt(t, from, ks, start)
+		return s.grid.AppendMultiLookupAt(dst, t, from, ks, start)
 	}
 	results := make([][]triples.Posting, len(ks))
 	errs := make([]error, len(ks))
@@ -267,10 +267,12 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 		return out, start, nil
 	}
 	pre := s.grid.RobustStats().Unanswered
-	ps, end, err := s.grid.MultiLookupAt(t, from, missed, start)
+	hits := len(out)
+	out, end, err := s.grid.AppendMultiLookupAt(out, t, from, missed, start)
 	if err != nil {
 		return nil, end, err
 	}
+	ps := out[hits:]
 	perKey := make(map[postingCacheKey][]triples.Posting, len(missed))
 	for _, k := range missed {
 		perKey[postingKeyOf(k)] = nil
@@ -300,7 +302,7 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 			pc.Put(st, id, perKey[id])
 		}
 	}
-	return append(out, ps...), end, nil
+	return out, end, nil
 }
 
 // shortCandidates returns oids from the short-value index (instance level)

@@ -183,11 +183,14 @@ type actorOp struct {
 	// this operation; the last resolved message closes it (endWrite) so
 	// membership moves waiting on the drain may proceed.
 	writeFence bool
-	results    []triples.Posting
-	errs       []error
-	deleted    bool
-	maxEnd     simnet.VTime // latest observed path end, runtime timeline
-	done       chan struct{}
+	// chunks collects reply payloads in arrival order; collect flattens
+	// them once onto dst.
+	chunks  [][]triples.Posting
+	dst     []triples.Posting
+	errs    []error
+	deleted bool
+	maxEnd  simnet.VTime // latest observed path end, runtime timeline
+	done    chan struct{}
 }
 
 // addPending records n in-flight messages.
@@ -305,7 +308,7 @@ func (x *actorExec) newOp(v *view, t *metrics.Tally, from simnet.NodeID, kind op
 		op.t.AddQueue(int64(ev.At - ev.Enqueued))
 		r := payload.(opResult)
 		op.mu.Lock()
-		op.results = append(op.results, r.postings...)
+		op.chunks = append(op.chunks, r.postings)
 		op.mu.Unlock()
 		op.observe(r.hops, ev.At)
 		op.finishMsg()
@@ -424,7 +427,7 @@ func (x *actorExec) run(op *actorOp) ([]triples.Posting, simnet.VTime, error) {
 func (x *actorExec) collect(op *actorOp) ([]triples.Posting, simnet.VTime, error) {
 	x.release(op)
 	op.mu.Lock()
-	res, end, err := op.results, op.maxEnd-op.base, errors.Join(op.errs...)
+	res, end, err := appendChunks(op.dst, op.chunks), op.maxEnd-op.base, errors.Join(op.errs...)
 	op.mu.Unlock()
 	return res, end, err
 }
@@ -506,14 +509,14 @@ func (x *actorExec) arrived(op *actorOp, ev asyncnet.Event, p *Peer, hops int64)
 	here, now := ev.To, ev.At
 	switch op.kind {
 	case opLookup:
-		res := p.localPrefix(op.orig)
+		res := p.appendLocalPrefix(nil, op.orig)
 		if len(res) > 0 || x.g.cfg.ReplyEmpty {
 			if !x.reply(op, here, res, hops, now) {
 				// Mirror chainExec.lookup's error path: the postings were
 				// found even though the result message failed, so the caller
 				// still receives them alongside the recorded error.
 				op.mu.Lock()
-				op.results = append(op.results, res...)
+				op.chunks = append(op.chunks, res)
 				op.mu.Unlock()
 				op.observe(hops, now)
 			}
@@ -585,7 +588,10 @@ func (x *actorExec) onApply(op *actorOp, ev asyncnet.Event, m applyMsg) {
 	op.observe(m.hops, ev.At)
 }
 
-// onMultiStep is the actor form of the batched multicast node.
+// onMultiStep is the actor form of the batched multicast node (see
+// chainExec.multiStep): one reply slice for all local keys, and the same
+// in-place partition hands each branch its disjoint range of the
+// operation's key buffer.
 func (x *actorExec) onMultiStep(op *actorOp, ev asyncnet.Event, m multiStepMsg) {
 	defer op.finishMsg()
 	here, now := ev.To, ev.At
@@ -594,36 +600,26 @@ func (x *actorExec) onMultiStep(op *actorOp, ev asyncnet.Event, m multiStepMsg) 
 		op.recordErr(err)
 		return
 	}
-	var local []triples.Posting
-	served := false
-	rest := m.keys[:0:0]
-	for _, k := range m.keys {
-		if p.Responsible(k.h) {
-			served = true
-			local = append(local, p.localPrefix(k.orig)...)
-		} else {
-			rest = append(rest, k)
-		}
-	}
+	local, served := p.serveMulti(m.batch.keys)
 	if len(local) > 0 || (x.g.cfg.ReplyEmpty && served) {
 		x.reply(op, here, local, m.hops, now)
 	} else if served {
 		op.observe(m.hops, now)
 	}
 
-	branches, pickErrs := splitMultiBranches(x.g, op.v, p, rest, m.scope)
+	branches, pickErrs := splitMultiBranches(x.g, op.v, p, m.batch, m.scope)
 	for _, e := range pickErrs {
 		op.readFailed(e)
 	}
-	for _, b := range branches {
-		b := b
-		reached, arrive, err := x.g.sendFailover(op.v, op.t, here, b.next,
-			func() simnet.Message { return multiLookupWire(b.keys) }, now)
+	for _, br := range branches {
+		sub := m.batch.sub(br.lo, br.hi)
+		reached, arrive, err := x.g.sendFailover(op.v, op.t, here, br.next,
+			func() simnet.Message { return multiLookupMsg{keys: sub.keys} }, now)
 		if err != nil {
 			op.readFailed(err)
 			continue
 		}
-		x.post(op, here, reached, multiStepMsg{keys: b.keys, scope: b.level + 1, hops: m.hops + 1}, arrive)
+		x.post(op, here, reached, multiStepMsg{batch: sub, scope: br.level + 1, hops: m.hops + 1}, arrive)
 	}
 }
 
@@ -683,10 +679,12 @@ func (x *actorExec) issueLookup(v *view, t *metrics.Tally, from simnet.NodeID, k
 	return op
 }
 
-// issueMultiLookup posts a batched multicast's kickoff without waiting.
-func (x *actorExec) issueMultiLookup(v *view, t *metrics.Tally, from simnet.NodeID, hks []hashedKey, start simnet.VTime) *actorOp {
+// issueMultiLookup posts a batched multicast's kickoff without waiting; the
+// operation's postings are appended to dst.
+func (x *actorExec) issueMultiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) *actorOp {
 	op, at := x.newOp(v, t, from, opMulti, start)
-	x.post(op, from, from, multiStepMsg{keys: hks}, at)
+	op.dst = dst
+	x.post(op, from, from, multiStepMsg{batch: b}, at)
 	return op
 }
 
@@ -704,8 +702,8 @@ func (x *actorExec) lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys
 	return x.run(x.issueLookup(v, t, from, k, start))
 }
 
-func (x *actorExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, hks []hashedKey, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	return x.run(x.issueMultiLookup(v, t, from, hks, start))
+func (x *actorExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
+	return x.run(x.issueMultiLookup(v, t, from, b, dst, start))
 }
 
 func (x *actorExec) rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {

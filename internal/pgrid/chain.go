@@ -92,7 +92,7 @@ func (x *chainExec) lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys
 		return nil, cur.at, nil
 	}
 	p := v.peers.at(dest)
-	res := p.localPrefix(k)
+	res := p.appendLocalPrefix(nil, k)
 	if len(res) > 0 || g.cfg.ReplyEmpty {
 		arrive, err := g.sendRetrans(t, dest, from,
 			func() simnet.Message { return resultMsg{postings: res} }, cur.at)
@@ -105,34 +105,32 @@ func (x *chainExec) lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys
 	return res, cur.finish(t), nil
 }
 
-func (x *chainExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, hks []hashedKey, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	return x.multiStep(v, t, from, from, hks, 0, cursor{at: start})
+func (x *chainExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
+	replies := make([][]triples.Posting, len(b.keys))
+	end, err := x.multiStep(v, t, from, from, b, replies, 0, cursor{at: start})
+	return appendChunks(dst, replies), end, err
 }
 
-// multiStep serves the key subset this partition is responsible for and
-// forwards the rest into every relevant sibling subtrie. The sibling
+// multiStep serves the keys of b this partition is responsible for and
+// forwards the rest into every relevant sibling subtrie. The node's reply —
+// one slice filled from the local store for all its keys — is both the
+// resultMsg payload and the node's entry in replies. replies lines up with
+// b: a node with local keys owns slot 0 of its range (its partitioned local
+// keys come first), each branch owns its sub-range, so slot order is the
+// depth-first reply order and the initiator flattens it once. The sibling
 // forwards are logically parallel: under the concurrent fabric they run on
 // goroutines forked at this peer's arrival time, under the serial fabric
-// they chain — the Fanout contract of simnet.Fabric.
+// they chain — the Fanout contract of simnet.Fabric. Disjoint ranges keep
+// the goroutines race-free.
 func (x *chainExec) multiStep(v *view, t *metrics.Tally, initiator, at simnet.NodeID,
-	ks []hashedKey, scope int, cur cursor) ([]triples.Posting, simnet.VTime, error) {
+	b multiBatch, replies [][]triples.Posting, scope int, cur cursor) (simnet.VTime, error) {
 
 	g := x.g
 	p, err := v.peer(at)
 	if err != nil {
-		return nil, cur.at, err
+		return cur.at, err
 	}
-	var local []triples.Posting
-	served := false
-	rest := ks[:0:0]
-	for _, k := range ks {
-		if p.Responsible(k.h) {
-			served = true
-			local = append(local, p.localPrefix(k.orig)...)
-		} else {
-			rest = append(rest, k)
-		}
-	}
+	local, served := p.serveMulti(b.keys)
 	end := cur.at
 	var localErr error
 	if len(local) > 0 || (g.cfg.ReplyEmpty && served) {
@@ -141,8 +139,8 @@ func (x *chainExec) multiStep(v *view, t *metrics.Tally, initiator, at simnet.No
 			func() simnet.Message { return resultMsg{postings: local} }, reply.at)
 		if err != nil {
 			localErr = g.degradeReadErr(t, err)
-			local = nil
 		} else {
+			replies[0] = local
 			reply.at = arrive
 			reply.hops++
 			end = reply.finish(t)
@@ -154,78 +152,106 @@ func (x *chainExec) multiStep(v *view, t *metrics.Tally, initiator, at simnet.No
 	// Partition the remaining keys over the sibling subtries and pick all
 	// forwarding targets before forking; reference picking is deterministic,
 	// so branch sets are identical under every execution engine.
-	branches, pickErrs := splitMultiBranches(g, v, p, rest, scope)
-	for i, e := range pickErrs {
-		pickErrs[i] = g.degradeReadErr(t, e)
+	branches, pickErrs := splitMultiBranches(g, v, p, b, scope)
+	if len(branches) == 0 && len(pickErrs) == 0 {
+		return end, errors.Join(localErr) // a leaf of the multicast tree
 	}
-
-	results := make([][]triples.Posting, len(branches))
-	errs := make([]error, len(branches))
+	// errs holds the local error, then the pick errors, then one slot per
+	// branch, in the order they are joined.
+	errs := make([]error, 1+len(pickErrs)+len(branches))
+	errs[0] = localErr
+	for i, e := range pickErrs {
+		errs[1+i] = g.degradeReadErr(t, e)
+	}
+	branchErrs := errs[1+len(pickErrs):]
 	fanEnd := g.net.Fanout(cur.at, len(branches), func(i int, start simnet.VTime) simnet.VTime {
-		b := branches[i]
-		reached, arrive, err := g.sendFailover(v, t, at, b.next,
-			func() simnet.Message { return multiLookupWire(b.keys) }, start)
+		br := branches[i]
+		sub := b.sub(br.lo, br.hi)
+		reached, arrive, err := g.sendFailover(v, t, at, br.next,
+			func() simnet.Message { return multiLookupMsg{keys: sub.keys} }, start)
 		if err != nil {
-			errs[i] = g.degradeReadErr(t, err)
+			branchErrs[i] = g.degradeReadErr(t, err)
 			return start
 		}
-		res, bEnd, err := x.multiStep(v, t, initiator, reached, b.keys, b.level+1,
+		bEnd, err := x.multiStep(v, t, initiator, reached, sub, replies[br.lo:br.hi], br.level+1,
 			cursor{at: arrive, hops: cur.hops + 1})
-		results[i] = res
-		errs[i] = err
+		branchErrs[i] = err
 		return bEnd
 	})
 	if fanEnd > end {
 		end = fanEnd
 	}
-
-	out := local
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	all := append([]error{localErr}, pickErrs...)
-	all = append(all, errs...)
-	return out, end, errors.Join(all...)
+	return end, errors.Join(errs...)
 }
 
-// splitMultiBranches partitions the keys this peer is not responsible for
-// over the sibling subtries at levels >= scope and picks one live forwarding
-// target per nonempty subtrie. Both execution engines share it, so branch
-// sets — and therefore routes and hop counts — are identical.
-func splitMultiBranches(g *Grid, v *view, p *Peer, rest []hashedKey, scope int) ([]subtrieBranch, []error) {
-	var branches []subtrieBranch
+// serveMulti answers the keys p is responsible for, in batch order, into
+// one reply slice; served reports whether there was any such key.
+func (p *Peer) serveMulti(ks []hashedKey) (reply []triples.Posting, served bool) {
+	for _, k := range ks {
+		if p.Responsible(k.h) {
+			served = true
+			reply = p.appendLocalPrefix(reply, k.orig)
+		}
+	}
+	return reply, served
+}
+
+// splitMultiBranches stable-partitions b.keys into b.scratch and picks one
+// live forwarding target per nonempty sibling subtrie at levels >= scope.
+// The partition puts the keys p is responsible for first, then each
+// subtrie's subset as one contiguous range, in ascending level order; keys
+// no subtrie at those levels covers are dropped at the end. Branch i covers
+// b.scratch[branches[i].lo:branches[i].hi]. Both execution engines share it,
+// so branch sets — and therefore routes and hop counts — are identical.
+func splitMultiBranches(g *Grid, v *view, p *Peer, b multiBatch, scope int) ([]subtrieBranch, []error) {
+	// A key p is not responsible for diverges from p's path at bit c, its
+	// common prefix length with the path, so it lies in the sibling subtrie
+	// at level c. Slot 0 counts local keys, slot 1+c-scope the subtrie at
+	// level c, the last slot the dropped keys.
+	depth := p.path.Len() - scope
+	if depth < 0 {
+		depth = 0
+	}
+	counts := make([]int, depth+2)
+	slot := func(k hashedKey) int {
+		if p.Responsible(k.h) {
+			return 0
+		}
+		if c := p.path.CommonPrefixLen(k.h); c >= scope {
+			return 1 + c - scope
+		}
+		return depth + 1
+	}
+	for _, k := range b.keys {
+		counts[slot(k)]++
+	}
+	// counts become each slot's next write position.
+	pos, nonempty := 0, 0
+	for i, n := range counts {
+		counts[i] = pos
+		pos += n
+		if i > 0 && i <= depth && n > 0 {
+			nonempty++
+		}
+	}
+	branches := make([]subtrieBranch, 0, nonempty)
 	var pickErrs []error
-	for l := scope; l < p.path.Len() && len(rest) > 0; l++ {
-		sibling := p.path.Prefix(l + 1).FlipLast()
-		var subset, keep []hashedKey
-		for _, k := range rest {
-			if k.h.HasPrefix(sibling) || sibling.HasPrefix(k.h) {
-				subset = append(subset, k)
-			} else {
-				keep = append(keep, k)
+	for l, i := scope, 1; i <= depth; l, i = l+1, i+1 {
+		if lo, hi := counts[i], counts[i+1]; hi > lo {
+			next, err := g.pickRef(v, p, l, routeSalt(p.path.Prefix(l+1).FlipLast()))
+			if err != nil {
+				pickErrs = append(pickErrs, err)
+				continue
 			}
+			branches = append(branches, subtrieBranch{level: l, next: next, lo: lo, hi: hi})
 		}
-		rest = keep
-		if len(subset) == 0 {
-			continue
-		}
-		next, err := g.pickRef(v, p, l, routeSalt(sibling))
-		if err != nil {
-			pickErrs = append(pickErrs, err)
-			continue
-		}
-		branches = append(branches, subtrieBranch{level: l, next: next, keys: subset})
+	}
+	for _, k := range b.keys {
+		s := slot(k)
+		b.scratch[counts[s]] = k
+		counts[s]++
 	}
 	return branches, pickErrs
-}
-
-// multiLookupWire builds the accounted wire message for one multicast branch.
-func multiLookupWire(ks []hashedKey) simnet.Message {
-	origs := make([]keys.Key, len(ks))
-	for j, k := range ks {
-		origs[j] = k.orig
-	}
-	return multiLookupMsg{keys: origs}
 }
 
 func (x *chainExec) rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {

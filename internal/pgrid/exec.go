@@ -40,7 +40,8 @@ func (m ExecMode) String() string {
 // stays churn-safe regardless of engine) and an explicit virtual start time.
 type executor interface {
 	lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
-	multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, hks []hashedKey, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
+	// multiLookup appends the multicast's postings to dst.
+	multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
 	rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
 	insert(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, posting triples.Posting) error
 	remove(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, match func(triples.Posting) bool) (bool, error)

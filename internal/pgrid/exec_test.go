@@ -17,7 +17,7 @@ import (
 // chained fabric, the goroutine-parallel fanout fabric, and the
 // discrete-event actor runtime. All share the same seed, data and latency
 // model.
-func execGrids(t *testing.T, nPeers, nItems int, mut func(*Config), lat asyncnet.LatencyModel) map[string]*Grid {
+func execGrids(t testing.TB, nPeers, nItems int, mut func(*Config), lat asyncnet.LatencyModel) map[string]*Grid {
 	t.Helper()
 	out := make(map[string]*Grid)
 	for _, mode := range []string{"direct", "fanout", "actor"} {

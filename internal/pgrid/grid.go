@@ -220,19 +220,19 @@ func (p *Peer) localDelete(k keys.Key, match func(triples.Posting) bool) bool {
 // LocalPrefix returns the peer's local postings whose key extends k, without
 // any network cost. Operators use it where the paper reads local state, e.g.
 // the data-density estimate of Algorithm 4 (lines 1-2).
-func (p *Peer) LocalPrefix(k keys.Key) []triples.Posting { return p.localPrefix(k) }
+func (p *Peer) LocalPrefix(k keys.Key) []triples.Posting { return p.appendLocalPrefix(nil, k) }
 
-// localPrefix returns postings whose key extends k (Algorithm 1, line 2:
-// {d in delta(p) | key(d) contains key as prefix}).
-func (p *Peer) localPrefix(k keys.Key) []triples.Posting {
+// appendLocalPrefix appends the postings whose key extends k (Algorithm 1,
+// line 2: {d in delta(p) | key(d) contains key as prefix}) to dst. A
+// multicast node serves all its keys into one reply slice this way.
+func (p *Peer) appendLocalPrefix(dst []triples.Posting, k keys.Key) []triples.Posting {
 	p.store.mu.RLock()
 	defer p.store.mu.RUnlock()
-	var out []triples.Posting
 	p.store.t.AscendPrefix(k, func(_ keys.Key, v triples.Posting) bool {
-		out = append(out, v)
+		dst = append(dst, v)
 		return true
 	})
-	return out
+	return dst
 }
 
 // postingSet is a materialized snapshot of stored entries, used during

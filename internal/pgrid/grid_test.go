@@ -434,7 +434,7 @@ func TestInsertRoutedAndReplicated(t *testing.T) {
 	v := g.snapshot()
 	li := v.leafForHashed(g.h.hash(k))
 	for _, id := range v.leaves.at(li).peers {
-		if got := v.peers.at(id).localPrefix(k); len(got) != 1 {
+		if got := v.peers.at(id).appendLocalPrefix(nil, k); len(got) != 1 {
 			t.Errorf("replica %d holds %d copies", id, len(got))
 		}
 	}

@@ -23,15 +23,16 @@ func (m lookupMsg) Kind() string { return "pgrid.lookup" }
 
 // multiLookupMsg forwards a batch of keys down one subtrie; the batched
 // routing "similar to the shower algorithm in [6]" that Section 4 names as an
-// implemented optimization.
+// implemented optimization. Only the original keys travel; keys is a range
+// of the operation's partition buffer, valid while the send is accounted.
 type multiLookupMsg struct {
-	keys []keys.Key
+	keys []hashedKey
 }
 
 func (m multiLookupMsg) Size() int {
 	n := msgOverhead
 	for _, k := range m.keys {
-		n += 1 + keyBytes(k)
+		n += 1 + keyBytes(k.orig)
 	}
 	return n
 }

@@ -29,9 +29,10 @@ func (routeStepMsg) Size() int    { return 0 }
 func (routeStepMsg) Kind() string { return "pgrid.step.route" }
 
 // multiStepMsg is one node of the batched multicast: serve the keys this
-// partition is responsible for, split the rest over sibling subtries.
+// partition is responsible for, split the rest over sibling subtries. batch
+// is the node's disjoint range of the operation's key buffer.
 type multiStepMsg struct {
-	keys  []hashedKey
+	batch multiBatch
 	scope int
 	hops  int64
 }

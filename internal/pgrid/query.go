@@ -2,6 +2,7 @@ package pgrid
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/keys"
 	"repro/internal/metrics"
@@ -46,8 +47,8 @@ func (c cursor) finish(t *metrics.Tally) simnet.VTime {
 // through the redundant references.
 func routeSalt(k keys.Key) uint64 {
 	h := uint64(0x9e3779b97f4a7c15) ^ uint64(k.Len())
-	for _, b := range k.Bytes() {
-		h = simnet.Splitmix64(h ^ uint64(b))
+	for i := 0; i < k.PackedLen(); i++ {
+		h = simnet.Splitmix64(h ^ uint64(k.PackedByte(i)))
 	}
 	return h
 }
@@ -140,27 +141,77 @@ func (g *Grid) MultiLookup(t *metrics.Tally, from simnet.NodeID, ks []keys.Key) 
 
 // MultiLookupAt is MultiLookup with an explicit virtual start time.
 func (g *Grid) MultiLookupAt(t *metrics.Tally, from simnet.NodeID, ks []keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
+	return g.AppendMultiLookupAt(nil, t, from, ks, start)
+}
+
+// AppendMultiLookupAt is MultiLookupAt appending the postings to dst, which
+// grows at most once: callers with a pooled merge buffer pay for no result
+// copy of their own.
+func (g *Grid) AppendMultiLookupAt(dst []triples.Posting, t *metrics.Tally, from simnet.NodeID, ks []keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
 	if len(ks) == 0 {
-		return nil, start, nil
+		return dst, start, nil
 	}
-	return g.exec.multiLookup(g.snapshot(), t, from, g.hashKeys(ks), start)
+	return g.exec.multiLookup(g.snapshot(), t, from, g.hashKeys(ks), dst, start)
 }
 
 // hashKeys pairs each key with its hashed-space image; the synchronous and
-// asynchronous multicast entry points share it.
-func (g *Grid) hashKeys(ks []keys.Key) []hashedKey {
-	hks := make([]hashedKey, len(ks))
+// asynchronous multicast entry points share it. The batch owns a scratch
+// range of the same length: every multicast node stable-partitions its keys
+// from one range into the other (see splitMultiBranches), so the keys are
+// copied once per operation, not once per trie level.
+func (g *Grid) hashKeys(ks []keys.Key) multiBatch {
+	buf := make([]hashedKey, 2*len(ks))
 	for i, k := range ks {
-		hks[i] = hashedKey{orig: k, h: g.h.hash(k)}
+		buf[i] = hashedKey{orig: k, h: g.h.hash(k)}
 	}
-	return hks
+	return multiBatch{keys: buf[:len(ks):len(ks)], scratch: buf[len(ks):]}
+}
+
+// multiBatch is the share of a multicast's key buffer one node serves: its
+// keys and an equally long scratch range it partitions them into. A node's
+// branches get disjoint sub-ranges of both, with the roles swapped (the
+// partitioned keys are the child's input), so goroutine-parallel branches
+// never touch the same element.
+type multiBatch struct {
+	keys, scratch []hashedKey
+}
+
+// sub is the child batch of the partitioned sub-range [lo, hi).
+func (b multiBatch) sub(lo, hi int) multiBatch {
+	return multiBatch{keys: b.scratch[lo:hi:hi], scratch: b.keys[lo:hi:hi]}
+}
+
+// appendChunks flattens reply chunks onto dst in order, growing dst at most
+// once, to the exact total. With no destination and a single nonempty
+// chunk, that chunk is the result as it is.
+func appendChunks(dst []triples.Posting, chunks [][]triples.Posting) []triples.Posting {
+	n, last := 0, -1
+	for i, c := range chunks {
+		if len(c) > 0 {
+			n += len(c)
+			last = i
+		}
+	}
+	if n == 0 {
+		return dst
+	}
+	if dst == nil && len(chunks[last]) == n {
+		return chunks[last]
+	}
+	dst = slices.Grow(dst, n)
+	for _, c := range chunks {
+		dst = append(dst, c...)
+	}
+	return dst
 }
 
 // subtrieBranch is one forward into a sibling subtrie during a multicast.
 type subtrieBranch struct {
 	level int
 	next  simnet.NodeID
-	keys  []hashedKey // multicast only
+	// lo and hi bound the branch's keys in the partitioned batch
+	// (multicast only).
+	lo, hi int
 }
 
 // RangeOptions customizes a range query.

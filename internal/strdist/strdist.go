@@ -49,6 +49,10 @@ func Levenshtein(a, b string) int {
 	return prev[len(b)]
 }
 
+// boundedStackRow is the longest DP row LevenshteinBounded keeps on the
+// stack.
+const boundedStackRow = 64
+
 // LevenshteinBounded returns the edit distance between a and b if it is at
 // most d, reporting ok=false (and an unspecified distance) otherwise. It runs
 // the dynamic program inside a band of width 2d+1, so verification of
@@ -65,8 +69,15 @@ func LevenshteinBounded(a, b string, d int) (dist int, ok bool) {
 		return 0, true
 	}
 	const inf = 1 << 30
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	// The two DP rows live on the stack for strings up to boundedStackRow-1
+	// bytes; only longer ones allocate.
+	var prevBuf, curBuf [boundedStackRow]int
+	prev, cur := prevBuf[:0], curBuf[:0]
+	if lb+1 <= boundedStackRow {
+		prev, cur = prevBuf[:lb+1], curBuf[:lb+1]
+	} else {
+		prev, cur = make([]int, lb+1), make([]int, lb+1)
+	}
 	for j := 0; j <= lb; j++ {
 		if j <= d {
 			prev[j] = j

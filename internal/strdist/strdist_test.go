@@ -137,6 +137,48 @@ func TestLevenshteinBoundedAgreesWithFull(t *testing.T) {
 	}
 }
 
+// TestLevenshteinBoundedAcrossStackCutover checks the bounded DP against
+// the full one on seeded random pairs whose lengths straddle the longest row
+// kept on the stack, so both the stack and the heap rows are exercised.
+func TestLevenshteinBoundedAcrossStackCutover(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	lengths := []int{0, 1, boundedStackRow - 3, boundedStackRow - 2, boundedStackRow - 1,
+		boundedStackRow, boundedStackRow + 1, boundedStackRow + 2, 3 * boundedStackRow}
+	word := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(3))
+		}
+		return string(b)
+	}
+	for i := 0; i < 3000; i++ {
+		a := word(lengths[rng.Intn(len(lengths))])
+		// Mostly near neighbours of a (a few edits), sometimes an unrelated
+		// string of a cut-over length.
+		b := word(lengths[rng.Intn(len(lengths))])
+		if rng.Intn(4) > 0 {
+			bs := []byte(a)
+			for e := rng.Intn(4); e > 0; e-- {
+				switch j := rng.Intn(len(bs) + 1); {
+				case rng.Intn(2) == 0 || j == len(bs):
+					bs = append(bs[:j], append([]byte{byte('a' + rng.Intn(3))}, bs[j:]...)...)
+				default:
+					bs = append(bs[:j], bs[j+1:]...)
+				}
+			}
+			b = string(bs)
+		}
+		d := Levenshtein(a, b)
+		for bound := 0; bound <= 5; bound++ {
+			got, ok := LevenshteinBounded(a, b, bound)
+			if ok != (d <= bound) || (ok && got != d) {
+				t.Fatalf("LevenshteinBounded(len %d, len %d, %d) = (%d,%v), full distance %d",
+					len(a), len(b), bound, got, ok, d)
+			}
+		}
+	}
+}
+
 func TestLevenshteinBoundedNegative(t *testing.T) {
 	if _, ok := LevenshteinBounded("a", "a", -1); ok {
 		t.Error("negative bound accepted")

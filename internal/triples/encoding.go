@@ -163,10 +163,26 @@ func ReadTriple(b []byte) (Triple, int, error) {
 	return Triple{OID: oid, Attr: attr, Val: val}, n1 + n2 + n3, nil
 }
 
+// uvarintLen is the encoded length of x as an unsigned varint.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// stringSize is the encoded length of a length-prefixed string.
+func stringSize(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
 // EncodedTripleSize reports the wire size of a triple without materializing
 // the encoding.
 func EncodedTripleSize(t Triple) int {
-	return len(AppendTriple(nil, t))
+	n := stringSize(t.OID) + stringSize(t.Attr) + 1
+	if t.Val.Kind == KindNumber {
+		return n + 8
+	}
+	return n + stringSize(t.Val.Str)
 }
 
 // AppendPosting appends a posting.
@@ -214,7 +230,9 @@ func ReadPosting(b []byte) (Posting, int, error) {
 	return p, off, nil
 }
 
-// EncodedSize reports the wire size of the posting.
+// EncodedSize reports the wire size of the posting without materializing
+// the encoding.
 func (p Posting) EncodedSize() int {
-	return len(AppendPosting(nil, p))
+	return 1 + EncodedTripleSize(p.Triple) + stringSize(p.GramText) +
+		uvarintLen(uint64(p.GramPos)) + uvarintLen(uint64(p.SrcLen))
 }

@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -250,7 +250,7 @@ func Recompose(oid string, ts []Triple) Tuple {
 			fields = append(fields, Field{Name: t.Attr, Val: t.Val})
 		}
 	}
-	sort.SliceStable(fields, func(i, j int) bool { return fields[i].Name < fields[j].Name })
+	slices.SortStableFunc(fields, func(x, y Field) int { return strings.Compare(x.Name, y.Name) })
 	return Tuple{OID: oid, Fields: fields}
 }
 

@@ -438,3 +438,62 @@ func TestEncodingSizesReasonable(t *testing.T) {
 		}
 	}
 }
+
+// randomPosting draws a posting that exercises every varint width the
+// encoding uses: number and string values, negative and large gram
+// positions, and strings on both sides of the one-byte length prefix
+// (empty, short, and 128 bytes or more).
+func randomPosting(rng *rand.Rand) Posting {
+	str := func() string {
+		n := []int{0, 1, 7, 127, 128, 129, 300, 20000}[rng.Intn(8)]
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	val := String(str())
+	if rng.Intn(2) == 0 {
+		val = Number(rng.NormFloat64() * 1e6)
+	}
+	ints := []int{0, 1, -1, 127, 128, -129, 1 << 20, math.MaxInt64, math.MinInt64}
+	return Posting{
+		Index:    IndexKind(rng.Intn(9)),
+		Triple:   Triple{OID: str(), Attr: str(), Val: val},
+		GramText: str(),
+		GramPos:  ints[rng.Intn(len(ints))],
+		SrcLen:   ints[rng.Intn(len(ints))],
+	}
+}
+
+// TestEncodedSizeMatchesEncoding pins the allocation-free size computation
+// to the encoding it predicts, for postings and for their triples.
+func TestEncodedSizeMatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 2000; i++ {
+		p := randomPosting(rng)
+		if got, want := p.EncodedSize(), len(AppendPosting(nil, p)); got != want {
+			t.Fatalf("EncodedSize(%+v) = %d, encoding has %d bytes", p, got, want)
+		}
+		if got, want := EncodedTripleSize(p.Triple), len(AppendTriple(nil, p.Triple)); got != want {
+			t.Fatalf("EncodedTripleSize(%+v) = %d, encoding has %d bytes", p.Triple, got, want)
+		}
+	}
+}
+
+func FuzzEncodedSize(f *testing.F) {
+	f.Add(uint8(0), "o", "a", "v", false, 1.5, "gram", -3, 7)
+	f.Add(uint8(3), "", "", "", true, 0.0, "", 0, 0)
+	f.Add(uint8(8), string(make([]byte, 128)), "attr", string(make([]byte, 300)), false, 0.0, "g", math.MinInt64, math.MaxInt64)
+	f.Fuzz(func(t *testing.T, kind uint8, oid, attr, str string, num bool, x float64, gram string, pos, srcLen int) {
+		val := String(str)
+		if num {
+			val = Number(x)
+		}
+		p := Posting{Index: IndexKind(kind), Triple: Triple{OID: oid, Attr: attr, Val: val},
+			GramText: gram, GramPos: pos, SrcLen: srcLen}
+		if got, want := p.EncodedSize(), len(AppendPosting(nil, p)); got != want {
+			t.Fatalf("EncodedSize = %d, encoding has %d bytes", got, want)
+		}
+	})
+}
