@@ -70,16 +70,26 @@ func FromBytes(b []byte) Key {
 // paths use to materialize computed keys (e.g. hashed rank keys) without
 // bit-by-bit appends.
 func FromPackedBits(b []byte, n int) Key {
+	k, _ := AppendPackedBits(make([]byte, 0, (n+7)/8), b, n)
+	return k
+}
+
+// AppendPackedBits is FromPackedBits backed by arena instead of a fresh
+// allocation: it appends the key's bytes to arena and returns the key
+// together with the grown arena. Size the arena's capacity up front, as for
+// CloneInto.
+func AppendPackedBits(arena, b []byte, n int) (Key, []byte) {
 	nb := (n + 7) / 8
 	if len(b) < nb {
-		panic(fmt.Sprintf("keys: FromPackedBits needs %d bytes for %d bits, got %d", nb, n, len(b)))
+		panic(fmt.Sprintf("keys: packed key needs %d bytes for %d bits, got %d", nb, n, len(b)))
 	}
-	c := make([]byte, nb)
-	copy(c, b[:nb])
+	start := len(arena)
+	arena = append(arena, b[:nb]...)
+	c := arena[start:len(arena):len(arena)]
 	if rem := uint(n % 8); rem != 0 && nb > 0 {
 		c[nb-1] &= 0xFF << (8 - rem)
 	}
-	return Key{bits: c, n: n}
+	return Key{bits: c, n: n}, arena
 }
 
 // CloneInto appends k's packed representation to arena and returns an equal

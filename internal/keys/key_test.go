@@ -582,6 +582,15 @@ func TestFromPackedBits(t *testing.T) {
 	if got.Bytes()[0] != 0xE0 {
 		t.Errorf("slack bits not cleared: % x", got.Bytes())
 	}
+	// The arena form appends after existing bytes and leaves them alone.
+	arena := []byte{0xAB}
+	got, arena = AppendPackedBits(arena, []byte{0xFF, 0xFF}, 12)
+	if want := FromBits("111111111111"); !got.Equal(want) {
+		t.Errorf("AppendPackedBits = %q, want %q", got, want)
+	}
+	if len(arena) != 3 || arena[0] != 0xAB || arena[2] != 0xF0 {
+		t.Errorf("AppendPackedBits arena = % x, want ab ff f0", arena)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("FromPackedBits accepted a short buffer")

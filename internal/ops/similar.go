@@ -211,7 +211,9 @@ func (s *Store) probeCandidates(t *metrics.Tally, from simnet.NodeID, needle, at
 // keyscheme.ProbeSet.KeyOf), hot keys are served locally and only the misses
 // travel as a partial-batch multicast. Every path appends the postings to
 // dst, the caller's pooled merge buffer (nil for a fresh slice), and returns
-// the extended slice.
+// the extended slice. A multicast grows dst at most once: it copies the
+// answering peers' replies out of its pooled reply arena at exact size.
+// Cache hits and unbatched lookups append key by key.
 func (s *Store) fetch(t *metrics.Tally, from simnet.NodeID, ks []keys.Key,
 	unbatched bool, keyOf func(triples.Posting) (keys.Key, bool),
 	dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
@@ -273,33 +275,51 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 		return nil, end, err
 	}
 	ps := out[hits:]
-	perKey := make(map[postingCacheKey][]triples.Posting, len(missed))
-	for _, k := range missed {
-		perKey[postingKeyOf(k)] = nil
+	// slot numbers the distinct missed keys; ids[i] is missed[i]'s entry key.
+	ids := make([]postingCacheKey, len(missed))
+	slot := make(map[postingCacheKey]int, len(missed))
+	for i, k := range missed {
+		ids[i] = postingKeyOf(k)
+		if _, dup := slot[ids[i]]; !dup {
+			slot[ids[i]] = len(slot)
+		}
 	}
 	// A multicast that degraded (a branch left unanswered on a lossy fabric)
 	// may be missing postings; caching it would poison every later hit under
 	// the same stamp.
 	cacheable := s.grid.RobustStats().Unanswered == pre
-	for _, p := range ps {
+	// Attribute each posting to its key once and count per key, so every
+	// entry is filled at exact size in its own allocation (an eviction then
+	// frees exactly that entry's bytes).
+	owner := make([]int, len(ps))
+	counts := make([]int, len(slot))
+	for i, p := range ps {
 		k, ok := keyOf(p)
 		if !ok {
 			cacheable = false
 			break
 		}
-		id := postingKeyOf(k)
-		if _, requested := perKey[id]; !requested {
+		j, requested := slot[postingKeyOf(k)]
+		if !requested {
 			cacheable = false
 			break
 		}
-		perKey[id] = append(perKey[id], p)
+		owner[i] = j
+		counts[j]++
 	}
 	if cacheable {
+		entries := make([][]triples.Posting, len(slot))
+		for i, p := range ps {
+			j := owner[i]
+			if entries[j] == nil {
+				entries[j] = make([]triples.Posting, 0, counts[j])
+			}
+			entries[j] = append(entries[j], p)
+		}
 		// Insert in missed-key order, not map order: the cache's seeded
 		// eviction draws from insertion order, which must be reproducible.
-		for _, k := range missed {
-			id := postingKeyOf(k)
-			pc.Put(st, id, perKey[id])
+		for _, id := range ids {
+			pc.Put(st, id, entries[slot[id]])
 		}
 	}
 	return out, end, nil

@@ -183,9 +183,11 @@ type actorOp struct {
 	// this operation; the last resolved message closes it (endWrite) so
 	// membership moves waiting on the drain may proceed.
 	writeFence bool
-	// chunks collects reply payloads in arrival order; collect flattens
-	// them once onto dst.
-	chunks  [][]triples.Posting
+	// scratch is a read's pooled reply arena (nil for writes); replies
+	// lists the spans of the replies that arrived, in arrival order, and
+	// collect copies them onto dst once.
+	scratch *opScratch
+	replies replyList
 	dst     []triples.Posting
 	errs    []error
 	deleted bool
@@ -307,9 +309,7 @@ func (x *actorExec) newOp(v *view, t *metrics.Tally, from simnet.NodeID, kind op
 		// any other message; harvest it.
 		op.t.AddQueue(int64(ev.At - ev.Enqueued))
 		r := payload.(opResult)
-		op.mu.Lock()
-		op.chunks = append(op.chunks, r.postings)
-		op.mu.Unlock()
+		op.addReply(r.span)
 		op.observe(r.hops, ev.At)
 		op.finishMsg()
 	})
@@ -345,12 +345,21 @@ func (x *actorExec) post(op *actorOp, from, to simnet.NodeID, payload simnet.Mes
 	}
 }
 
-// reply sends the result-return leg: the fabric accounts a resultMsg from
-// the contacted peer to the initiator, and the matching reply envelope is
-// dispatched to the operation's continuation after queueing at the
-// initiator. A send failure (initiator crashed) mirrors the chained
-// executor: the error is recorded and the results are lost.
-func (x *actorExec) reply(op *actorOp, from simnet.NodeID, res []triples.Posting, hops int64, departRT simnet.VTime) bool {
+// addReply records an arrived reply's span.
+func (op *actorOp) addReply(sp replySpan) {
+	op.mu.Lock()
+	op.replies = op.scratch.record(op.replies, sp)
+	op.mu.Unlock()
+}
+
+// reply sends the result-return leg of the reply span sp, whose postings
+// res the peer served into the operation's arena: the fabric accounts a
+// resultMsg from the contacted peer to the initiator, and the matching reply
+// envelope is dispatched to the operation's continuation after queueing at
+// the initiator, which records the span. A send failure (initiator crashed)
+// mirrors the chained executor: the error is recorded and the results are
+// lost.
+func (x *actorExec) reply(op *actorOp, from simnet.NodeID, sp replySpan, res []triples.Posting, hops int64, departRT simnet.VTime) bool {
 	arrive, err := x.g.sendRetrans(op.t, from, op.from,
 		func() simnet.Message { return resultMsg{postings: res} }, departRT)
 	if err != nil {
@@ -359,7 +368,7 @@ func (x *actorExec) reply(op *actorOp, from simnet.NodeID, res []triples.Posting
 	}
 	op.addPending(1)
 	if err := x.rt.Reply(from, asyncnet.Envelope{Corr: op.corr, ReplyTo: op.from, Deadline: op.deadline},
-		opResult{postings: res, hops: hops + 1}, arrive); err != nil {
+		opResult{span: sp, hops: hops + 1}, arrive); err != nil {
 		op.fail(err)
 		return false
 	}
@@ -423,13 +432,19 @@ func (x *actorExec) run(op *actorOp) ([]triples.Posting, simnet.VTime, error) {
 }
 
 // collect closes out a completed operation and returns its outcome on the
-// operation's own timeline.
+// operation's own timeline. Every message has resolved, so a read's replies
+// are final: they are copied onto dst and the scratch goes back to the pool.
 func (x *actorExec) collect(op *actorOp) ([]triples.Posting, simnet.VTime, error) {
 	x.release(op)
 	op.mu.Lock()
-	res, end, err := appendChunks(op.dst, op.chunks), op.maxEnd-op.base, errors.Join(op.errs...)
-	op.mu.Unlock()
-	return res, end, err
+	defer op.mu.Unlock()
+	res := op.dst
+	if s := op.scratch; s != nil {
+		res = s.appendTo(res, op.replies)
+		op.scratch = nil
+		x.g.putScratch(s)
+	}
+	return res, op.maxEnd - op.base, errors.Join(op.errs...)
 }
 
 func (x *actorExec) release(op *actorOp) {
@@ -509,15 +524,15 @@ func (x *actorExec) arrived(op *actorOp, ev asyncnet.Event, p *Peer, hops int64)
 	here, now := ev.To, ev.At
 	switch op.kind {
 	case opLookup:
-		res := p.appendLocalPrefix(nil, op.orig)
+		sp, res := op.scratch.serve(func(dst []triples.Posting) []triples.Posting {
+			return p.appendLocalPrefix(dst, op.orig)
+		})
 		if len(res) > 0 || x.g.cfg.ReplyEmpty {
-			if !x.reply(op, here, res, hops, now) {
+			if !x.reply(op, here, sp, res, hops, now) {
 				// Mirror chainExec.lookup's error path: the postings were
 				// found even though the result message failed, so the caller
 				// still receives them alongside the recorded error.
-				op.mu.Lock()
-				op.chunks = append(op.chunks, res)
-				op.mu.Unlock()
+				op.addReply(sp)
 				op.observe(hops, now)
 			}
 			return
@@ -589,9 +604,9 @@ func (x *actorExec) onApply(op *actorOp, ev asyncnet.Event, m applyMsg) {
 }
 
 // onMultiStep is the actor form of the batched multicast node (see
-// chainExec.multiStep): one reply slice for all local keys, and the same
-// in-place partition hands each branch its disjoint range of the
-// operation's key buffer.
+// chainExec.multiStep): one reply span in the operation's arena for all
+// local keys, and the same in-place partition hands each branch its
+// disjoint range of the operation's key buffer.
 func (x *actorExec) onMultiStep(op *actorOp, ev asyncnet.Event, m multiStepMsg) {
 	defer op.finishMsg()
 	here, now := ev.To, ev.At
@@ -600,9 +615,13 @@ func (x *actorExec) onMultiStep(op *actorOp, ev asyncnet.Event, m multiStepMsg) 
 		op.recordErr(err)
 		return
 	}
-	local, served := p.serveMulti(m.batch.keys)
+	var served bool
+	sp, local := op.scratch.serve(func(dst []triples.Posting) []triples.Posting {
+		dst, served = p.serveMulti(dst, m.batch.keys)
+		return dst
+	})
 	if len(local) > 0 || (x.g.cfg.ReplyEmpty && served) {
-		x.reply(op, here, local, m.hops, now)
+		x.reply(op, here, sp, local, m.hops, now)
 	} else if served {
 		op.observe(m.hops, now)
 	}
@@ -636,9 +655,11 @@ func (x *actorExec) onShowerStep(op *actorOp, ev asyncnet.Event, scope int, hops
 		return
 	}
 	if op.ivH.OverlapsPrefix(p.path) {
-		res := p.localRange(op.iv, op.opts.Filter)
+		sp, res := op.scratch.serve(func(dst []triples.Posting) []triples.Posting {
+			return p.appendLocalRange(dst, op.iv, op.opts.Filter)
+		})
 		if len(res) > 0 || x.g.cfg.ReplyEmpty {
-			x.reply(op, here, res, hops, now)
+			x.reply(op, here, sp, res, hops, now)
 		} else {
 			// Silence means "no results", but the query still travelled
 			// here: fold the forwarding path into the tally.
@@ -673,6 +694,7 @@ func (x *actorExec) kickRoute(op *actorOp, at simnet.VTime) {
 // its events.
 func (x *actorExec) issueLookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, start simnet.VTime) *actorOp {
 	op, at := x.newOp(v, t, from, opLookup, start)
+	op.scratch = x.g.getScratch()
 	op.orig, op.target = k, x.g.h.hash(k)
 	op.salt = routeSalt(op.target)
 	x.kickRoute(op, at)
@@ -681,16 +703,18 @@ func (x *actorExec) issueLookup(v *view, t *metrics.Tally, from simnet.NodeID, k
 
 // issueMultiLookup posts a batched multicast's kickoff without waiting; the
 // operation's postings are appended to dst.
-func (x *actorExec) issueMultiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) *actorOp {
+func (x *actorExec) issueMultiLookup(v *view, t *metrics.Tally, from simnet.NodeID, ks []keys.Key, dst []triples.Posting, start simnet.VTime) *actorOp {
 	op, at := x.newOp(v, t, from, opMulti, start)
+	op.scratch = x.g.getScratch()
 	op.dst = dst
-	x.post(op, from, from, multiStepMsg{batch: b}, at)
+	x.post(op, from, from, multiStepMsg{batch: op.scratch.hashKeys(x.g.h, ks)}, at)
 	return op
 }
 
 // issueRange posts a shower multicast's kickoff without waiting.
 func (x *actorExec) issueRange(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) *actorOp {
 	op, at := x.newOp(v, t, from, opShower, start)
+	op.scratch = x.g.getScratch()
 	op.iv, op.ivH, op.opts = iv, ivH, opts
 	op.target = ivH.Lo
 	op.salt = routeSalt(ivH.Lo)
@@ -702,8 +726,8 @@ func (x *actorExec) lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys
 	return x.run(x.issueLookup(v, t, from, k, start))
 }
 
-func (x *actorExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	return x.run(x.issueMultiLookup(v, t, from, b, dst, start))
+func (x *actorExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, ks []keys.Key, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
+	return x.run(x.issueMultiLookup(v, t, from, ks, dst, start))
 }
 
 func (x *actorExec) rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {

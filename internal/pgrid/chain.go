@@ -105,42 +105,54 @@ func (x *chainExec) lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys
 	return res, cur.finish(t), nil
 }
 
-func (x *chainExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	replies := make([][]triples.Posting, len(b.keys))
-	end, err := x.multiStep(v, t, from, from, b, replies, 0, cursor{at: start})
-	return appendChunks(dst, replies), end, err
+func (x *chainExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, ks []keys.Key, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
+	s := x.g.getScratch()
+	defer x.g.putScratch(s)
+	l, end, err := x.multiStep(v, t, from, from, s, s.hashKeys(x.g.h, ks), 0, cursor{at: start})
+	return s.appendTo(dst, l), end, err
+}
+
+// branchOut is what one forwarded branch of a multicast node returns.
+type branchOut struct {
+	replies replyList
+	err     error
 }
 
 // multiStep serves the keys of b this partition is responsible for and
-// forwards the rest into every relevant sibling subtrie. The node's reply —
-// one slice filled from the local store for all its keys — is both the
-// resultMsg payload and the node's entry in replies. replies lines up with
-// b: a node with local keys owns slot 0 of its range (its partitioned local
-// keys come first), each branch owns its sub-range, so slot order is the
-// depth-first reply order and the initiator flattens it once. The sibling
-// forwards are logically parallel: under the concurrent fabric they run on
+// forwards the rest into every relevant sibling subtrie. The node serves
+// all its keys into the operation's reply arena in s as one span, whose
+// view is the resultMsg payload; once the reply got through, the span heads
+// the node's reply list, followed by each branch's list in branch order, so
+// the initiator copies the replies out depth-first. The sibling forwards
+// are logically parallel: under the concurrent fabric they run on
 // goroutines forked at this peer's arrival time, under the serial fabric
-// they chain — the Fanout contract of simnet.Fabric. Disjoint ranges keep
-// the goroutines race-free.
+// they chain — the Fanout contract of simnet.Fabric. Branches partition
+// disjoint ranges of the key buffer and append to the arena under its lock,
+// which keeps the goroutines race-free.
 func (x *chainExec) multiStep(v *view, t *metrics.Tally, initiator, at simnet.NodeID,
-	b multiBatch, replies [][]triples.Posting, scope int, cur cursor) (simnet.VTime, error) {
+	s *opScratch, b multiBatch, scope int, cur cursor) (replyList, simnet.VTime, error) {
 
 	g := x.g
 	p, err := v.peer(at)
 	if err != nil {
-		return cur.at, err
+		return replyList{}, cur.at, err
 	}
-	local, served := p.serveMulti(b.keys)
+	var served bool
+	sp, local := s.serve(func(dst []triples.Posting) []triples.Posting {
+		dst, served = p.serveMulti(dst, b.keys)
+		return dst
+	})
+	var list replyList
 	end := cur.at
-	var localErr error
+	var errs []error
 	if len(local) > 0 || (g.cfg.ReplyEmpty && served) {
 		reply := cur
 		arrive, err := g.sendRetrans(t, at, initiator,
 			func() simnet.Message { return resultMsg{postings: local} }, reply.at)
 		if err != nil {
-			localErr = g.degradeReadErr(t, err)
+			errs = appendErr(errs, g.degradeReadErr(t, err))
 		} else {
-			replies[0] = local
+			list = s.record(list, sp)
 			reply.at = arrive
 			reply.hops++
 			end = reply.finish(t)
@@ -153,47 +165,57 @@ func (x *chainExec) multiStep(v *view, t *metrics.Tally, initiator, at simnet.No
 	// forwarding targets before forking; reference picking is deterministic,
 	// so branch sets are identical under every execution engine.
 	branches, pickErrs := splitMultiBranches(g, v, p, b, scope)
-	if len(branches) == 0 && len(pickErrs) == 0 {
-		return end, errors.Join(localErr) // a leaf of the multicast tree
+	for _, e := range pickErrs {
+		errs = appendErr(errs, g.degradeReadErr(t, e))
 	}
-	// errs holds the local error, then the pick errors, then one slot per
-	// branch, in the order they are joined.
-	errs := make([]error, 1+len(pickErrs)+len(branches))
-	errs[0] = localErr
-	for i, e := range pickErrs {
-		errs[1+i] = g.degradeReadErr(t, e)
+	if len(branches) == 0 {
+		return list, end, errors.Join(errs...) // a leaf of the multicast tree
 	}
-	branchErrs := errs[1+len(pickErrs):]
+	outs := make([]branchOut, len(branches))
 	fanEnd := g.net.Fanout(cur.at, len(branches), func(i int, start simnet.VTime) simnet.VTime {
 		br := branches[i]
 		sub := b.sub(br.lo, br.hi)
 		reached, arrive, err := g.sendFailover(v, t, at, br.next,
 			func() simnet.Message { return multiLookupMsg{keys: sub.keys} }, start)
 		if err != nil {
-			branchErrs[i] = g.degradeReadErr(t, err)
+			outs[i].err = g.degradeReadErr(t, err)
 			return start
 		}
-		bEnd, err := x.multiStep(v, t, initiator, reached, sub, replies[br.lo:br.hi], br.level+1,
+		l, bEnd, err := x.multiStep(v, t, initiator, reached, s, sub, br.level+1,
 			cursor{at: arrive, hops: cur.hops + 1})
-		branchErrs[i] = err
+		outs[i] = branchOut{replies: l, err: err}
 		return bEnd
 	})
 	if fanEnd > end {
 		end = fanEnd
 	}
-	return end, errors.Join(errs...)
+	for _, o := range outs {
+		list = s.join(list, o.replies)
+		errs = appendErr(errs, o.err)
+	}
+	return list, end, errors.Join(errs...)
 }
 
-// serveMulti answers the keys p is responsible for, in batch order, into
-// one reply slice; served reports whether there was any such key.
-func (p *Peer) serveMulti(ks []hashedKey) (reply []triples.Posting, served bool) {
+// appendErr appends err to errs unless it is nil; joining the collected
+// errors then allocates nothing on the fault-free path.
+func appendErr(errs []error, err error) []error {
+	if err != nil {
+		errs = append(errs, err)
+	}
+	return errs
+}
+
+// serveMulti appends the postings of the keys p is responsible for, in
+// batch order, to dst — the node's reply span in the operation's arena;
+// served reports whether there was any such key.
+func (p *Peer) serveMulti(dst []triples.Posting, ks []hashedKey) (_ []triples.Posting, served bool) {
 	for _, k := range ks {
 		if p.Responsible(k.h) {
 			served = true
-			reply = p.appendLocalPrefix(reply, k.orig)
+			dst = p.appendLocalPrefix(dst, k.orig)
 		}
 	}
-	return reply, served
+	return dst, served
 }
 
 // splitMultiBranches stable-partitions b.keys into b.scratch and picks one
@@ -261,36 +283,43 @@ func (x *chainExec) rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv
 	if err != nil {
 		return nil, cur.at, err
 	}
-	return x.showerStep(v, t, from, dest, iv, ivH, 0, opts, cur)
+	s := x.g.getScratch()
+	defer x.g.putScratch(s)
+	l, end, err := x.showerStep(v, t, from, dest, s, iv, ivH, 0, opts, cur)
+	return s.appendTo(nil, l), end, err
 }
 
 // showerStep serves the range locally and forwards it into every overlapping
 // sibling subtrie at levels >= scope, which delivers the query to each
 // overlapping partition exactly once. iv is the original-space interval
 // evaluated against stored keys; ivH is its hashed-space image used for trie
-// pruning. Sibling forwards fan out per the fabric's Fanout contract:
-// concurrently under asyncnet, chained under the serial simulator.
-func (x *chainExec) showerStep(v *view, t *metrics.Tally, initiator, at simnet.NodeID,
-	iv, ivH keys.Interval, scope int, opts RangeOptions, cur cursor) ([]triples.Posting, simnet.VTime, error) {
+// pruning. Like multiStep, the node serves into the operation's reply arena
+// and returns its reply list depth-first. Sibling forwards fan out per the
+// fabric's Fanout contract: concurrently under asyncnet, chained under the
+// serial simulator.
+func (x *chainExec) showerStep(v *view, t *metrics.Tally, initiator, at simnet.NodeID, s *opScratch,
+	iv, ivH keys.Interval, scope int, opts RangeOptions, cur cursor) (replyList, simnet.VTime, error) {
 
 	g := x.g
 	p, err := v.peer(at)
 	if err != nil {
-		return nil, cur.at, err
+		return replyList{}, cur.at, err
 	}
-	var local []triples.Posting
+	var list replyList
 	end := cur.at
-	var localErr error
+	var errs []error
 	if ivH.OverlapsPrefix(p.path) {
-		res := p.localRange(iv, opts.Filter)
+		sp, res := s.serve(func(dst []triples.Posting) []triples.Posting {
+			return p.appendLocalRange(dst, iv, opts.Filter)
+		})
 		if len(res) > 0 || g.cfg.ReplyEmpty {
 			reply := cur
 			arrive, err := g.sendRetrans(t, at, initiator,
 				func() simnet.Message { return resultMsg{postings: res} }, reply.at)
 			if err != nil {
-				localErr = g.degradeReadErr(t, err)
+				errs = appendErr(errs, g.degradeReadErr(t, err))
 			} else {
-				local = res
+				list = s.record(list, sp)
 				reply.at = arrive
 				reply.hops++
 				end = reply.finish(t)
@@ -303,37 +332,34 @@ func (x *chainExec) showerStep(v *view, t *metrics.Tally, initiator, at simnet.N
 	}
 
 	branches, pickErrs := splitShowerBranches(g, v, p, ivH, scope)
-	for i, e := range pickErrs {
-		pickErrs[i] = g.degradeReadErr(t, e)
+	for _, e := range pickErrs {
+		errs = appendErr(errs, g.degradeReadErr(t, e))
 	}
-
-	results := make([][]triples.Posting, len(branches))
-	errs := make([]error, len(branches))
+	if len(branches) == 0 {
+		return list, end, errors.Join(errs...)
+	}
+	outs := make([]branchOut, len(branches))
 	fanEnd := g.net.Fanout(cur.at, len(branches), func(i int, start simnet.VTime) simnet.VTime {
 		b := branches[i]
 		reached, arrive, err := g.sendFailover(v, t, at, b.next,
 			func() simnet.Message { return rangeMsg{iv: iv, filterBytes: opts.FilterBytes} }, start)
 		if err != nil {
-			errs[i] = g.degradeReadErr(t, err)
+			outs[i].err = g.degradeReadErr(t, err)
 			return start
 		}
-		res, bEnd, err := x.showerStep(v, t, initiator, reached, iv, ivH, b.level+1, opts,
+		l, bEnd, err := x.showerStep(v, t, initiator, reached, s, iv, ivH, b.level+1, opts,
 			cursor{at: arrive, hops: cur.hops + 1})
-		results[i] = res
-		errs[i] = err
+		outs[i] = branchOut{replies: l, err: err}
 		return bEnd
 	})
 	if fanEnd > end {
 		end = fanEnd
 	}
-
-	out := local
-	for _, r := range results {
-		out = append(out, r...)
+	for _, o := range outs {
+		list = s.join(list, o.replies)
+		errs = appendErr(errs, o.err)
 	}
-	all := append([]error{localErr}, pickErrs...)
-	all = append(all, errs...)
-	return out, end, errors.Join(all...)
+	return list, end, errors.Join(errs...)
 }
 
 // splitShowerBranches picks one live forwarding target for every overlapping

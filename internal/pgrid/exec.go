@@ -41,7 +41,7 @@ func (m ExecMode) String() string {
 type executor interface {
 	lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
 	// multiLookup appends the multicast's postings to dst.
-	multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, b multiBatch, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
+	multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, ks []keys.Key, dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
 	rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
 	insert(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, posting triples.Posting) error
 	remove(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, match func(triples.Posting) bool) (bool, error)

@@ -224,7 +224,8 @@ func (p *Peer) LocalPrefix(k keys.Key) []triples.Posting { return p.appendLocalP
 
 // appendLocalPrefix appends the postings whose key extends k (Algorithm 1,
 // line 2: {d in delta(p) | key(d) contains key as prefix}) to dst. A
-// multicast node serves all its keys into one reply slice this way.
+// multicast node serves all its keys into the operation's reply arena this
+// way.
 func (p *Peer) appendLocalPrefix(dst []triples.Posting, k keys.Key) []triples.Posting {
 	p.store.mu.RLock()
 	defer p.store.mu.RUnlock()
@@ -277,18 +278,18 @@ func (p *Peer) partitionByHashedBit(h *hasher, level int) (moved, kept postingSe
 	return moved, kept
 }
 
-// localRange returns postings inside the interval, optionally filtered.
-func (p *Peer) localRange(iv keys.Interval, filter func(triples.Posting) bool) []triples.Posting {
+// appendLocalRange appends the postings inside the interval, optionally
+// filtered, to dst.
+func (p *Peer) appendLocalRange(dst []triples.Posting, iv keys.Interval, filter func(triples.Posting) bool) []triples.Posting {
 	p.store.mu.RLock()
 	defer p.store.mu.RUnlock()
-	var out []triples.Posting
 	p.store.t.AscendRange(iv, func(_ keys.Key, v triples.Posting) bool {
 		if filter == nil || filter(v) {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 		return true
 	})
-	return out
+	return dst
 }
 
 // leafInfo describes one key-space partition.
@@ -330,12 +331,18 @@ func newHasher(sortedSample []keys.Key) *hasher {
 // (hashing runs once per posting during bulk load and once per key on every
 // routed operation, so bit-by-bit construction was a measured hot spot).
 func (h *hasher) rankKey(rank int) keys.Key {
+	buf := h.packRank(rank)
+	return keys.FromPackedBits(buf[:], h.width)
+}
+
+// packRank renders a rank as the packed big-endian bits of its rank key.
+func (h *hasher) packRank(rank int) [8]byte {
 	var buf [8]byte
 	shifted := uint64(rank) << uint(64-h.width)
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(shifted >> (56 - 8*uint(i)))
 	}
-	return keys.FromPackedBits(buf[:], h.width)
+	return buf
 }
 
 // rank maps a key to |{anchors <= k}|, the integer the rank key renders.
@@ -366,6 +373,13 @@ func (h *hasher) ranks() int { return len(h.anchors) + 1 }
 // implies hash(a) <= hash(b).
 func (h *hasher) hash(k keys.Key) keys.Key {
 	return h.rankKey(h.rank(k))
+}
+
+// appendHash is hash backed by arena: the rank key's bytes (at most
+// hashKeyBytes) are appended to arena, which is returned grown.
+func (h *hasher) appendHash(arena []byte, k keys.Key) (keys.Key, []byte) {
+	buf := h.packRank(h.rank(k))
+	return keys.AppendPackedBits(arena, buf[:], h.width)
 }
 
 // hashHiPrefix maps the upper bound of an interval, counting anchors that are
@@ -418,6 +432,9 @@ type Grid struct {
 
 	// Cumulative robustness counters (atomic; see robust.go).
 	retries, failovers, unanswered, fencedWrites int64
+
+	// scratch pools the per-operation multicast buffers (see opScratch).
+	scratch sync.Pool
 }
 
 // Errors returned by grid operations.

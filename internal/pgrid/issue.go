@@ -74,12 +74,11 @@ func (g *Grid) IssueMultiLookupAt(t *metrics.Tally, from simnet.NodeID, ks []key
 	if len(ks) == 0 {
 		return settled(nil, start, nil)
 	}
-	b := g.hashKeys(ks)
 	x, ok := g.exec.(*actorExec)
 	if !ok {
-		return settled(g.exec.multiLookup(g.snapshot(), t, from, b, nil, start))
+		return settled(g.exec.multiLookup(g.snapshot(), t, from, ks, nil, start))
 	}
-	return &Pending{x: x, op: x.issueMultiLookup(g.snapshot(), t, from, b, nil, start)}
+	return &Pending{x: x, op: x.issueMultiLookup(g.snapshot(), t, from, ks, nil, start)}
 }
 
 // IssueRangeQueryAt issues RangeQuery asynchronously from an explicit

@@ -1,9 +1,5 @@
 package pgrid
 
-import (
-	"repro/internal/triples"
-)
-
 // Discrete-event protocol of the actor executor.
 //
 // These messages travel only on the asyncnet.Runtime, wrapped in
@@ -59,12 +55,12 @@ type applyMsg struct {
 func (applyMsg) Size() int    { return 0 }
 func (applyMsg) Kind() string { return "pgrid.step.apply" }
 
-// opResult is the reply payload of the result-return leg: the postings a
-// contacted peer contributes and the forwarding depth of the path that
-// produced them.
+// opResult is the reply payload of the result-return leg: the span of the
+// operation's reply arena a contacted peer served its postings into, and
+// the forwarding depth of the path that produced them.
 type opResult struct {
-	postings []triples.Posting
-	hops     int64
+	span replySpan
+	hops int64
 }
 
 func (opResult) Size() int    { return 0 }

@@ -2,7 +2,6 @@ package pgrid
 
 import (
 	"errors"
-	"slices"
 
 	"repro/internal/keys"
 	"repro/internal/metrics"
@@ -145,26 +144,14 @@ func (g *Grid) MultiLookupAt(t *metrics.Tally, from simnet.NodeID, ks []keys.Key
 }
 
 // AppendMultiLookupAt is MultiLookupAt appending the postings to dst, which
-// grows at most once: callers with a pooled merge buffer pay for no result
-// copy of their own.
+// grows at most once: the answering peers serve into the operation's pooled
+// reply arena, and the initiator copies their replies onto dst at exact
+// size, so callers with a pooled merge buffer pay for no copy of their own.
 func (g *Grid) AppendMultiLookupAt(dst []triples.Posting, t *metrics.Tally, from simnet.NodeID, ks []keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
 	if len(ks) == 0 {
 		return dst, start, nil
 	}
-	return g.exec.multiLookup(g.snapshot(), t, from, g.hashKeys(ks), dst, start)
-}
-
-// hashKeys pairs each key with its hashed-space image; the synchronous and
-// asynchronous multicast entry points share it. The batch owns a scratch
-// range of the same length: every multicast node stable-partitions its keys
-// from one range into the other (see splitMultiBranches), so the keys are
-// copied once per operation, not once per trie level.
-func (g *Grid) hashKeys(ks []keys.Key) multiBatch {
-	buf := make([]hashedKey, 2*len(ks))
-	for i, k := range ks {
-		buf[i] = hashedKey{orig: k, h: g.h.hash(k)}
-	}
-	return multiBatch{keys: buf[:len(ks):len(ks)], scratch: buf[len(ks):]}
+	return g.exec.multiLookup(g.snapshot(), t, from, ks, dst, start)
 }
 
 // multiBatch is the share of a multicast's key buffer one node serves: its
@@ -179,30 +166,6 @@ type multiBatch struct {
 // sub is the child batch of the partitioned sub-range [lo, hi).
 func (b multiBatch) sub(lo, hi int) multiBatch {
 	return multiBatch{keys: b.scratch[lo:hi:hi], scratch: b.keys[lo:hi:hi]}
-}
-
-// appendChunks flattens reply chunks onto dst in order, growing dst at most
-// once, to the exact total. With no destination and a single nonempty
-// chunk, that chunk is the result as it is.
-func appendChunks(dst []triples.Posting, chunks [][]triples.Posting) []triples.Posting {
-	n, last := 0, -1
-	for i, c := range chunks {
-		if len(c) > 0 {
-			n += len(c)
-			last = i
-		}
-	}
-	if n == 0 {
-		return dst
-	}
-	if dst == nil && len(chunks[last]) == n {
-		return chunks[last]
-	}
-	dst = slices.Grow(dst, n)
-	for _, c := range chunks {
-		dst = append(dst, c...)
-	}
-	return dst
 }
 
 // subtrieBranch is one forward into a sibling subtrie during a multicast.

@@ -3,6 +3,7 @@ package pgrid
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -251,6 +252,13 @@ func TestWriteFencingOracle(t *testing.T) {
 				}
 			}
 
+			// Inserts issue from a fixed set of initiators the churner never
+			// removes: an initiator drawn from the live membership could
+			// leave before its Insert runs, failing the write for a reason
+			// the fence has nothing to do with.
+			initiators := []simnet.NodeID{0, 5, 11, 17}
+			reserved := func(id simnet.NodeID) bool { return slices.Contains(initiators, id) }
+
 			// Churner: alternate joins and leaves on its own goroutine while
 			// the main goroutine streams inserts of fresh keys.
 			var wg sync.WaitGroup
@@ -266,14 +274,20 @@ func TestWriteFencingOracle(t *testing.T) {
 						}
 						continue
 					}
-					// Leave any peer whose partition keeps a member.
+					// Leave any unreserved peer whose partition keeps a member.
 					v := g.snapshot()
+				leaves:
 					for _, l := range v.leafList() {
-						if len(l.peers) > 1 {
-							if err := g.Leave(&tally, l.peers[0]); err != nil {
-								t.Errorf("Leave: %v", err)
+						if len(l.peers) < 2 {
+							continue
+						}
+						for _, id := range l.peers {
+							if !reserved(id) {
+								if err := g.Leave(&tally, id); err != nil {
+									t.Errorf("Leave: %v", err)
+								}
+								break leaves
 							}
-							break
 						}
 					}
 				}
@@ -281,7 +295,8 @@ func TestWriteFencingOracle(t *testing.T) {
 			for i := 0; i < inserts; i++ {
 				var tally metrics.Tally
 				k := testKey(nItems + i)
-				if err := g.Insert(&tally, g.RandomPeer(), k, testPosting(nItems+i)); err != nil {
+				from := initiators[i%len(initiators)]
+				if err := g.Insert(&tally, from, k, testPosting(nItems+i)); err != nil {
 					t.Fatalf("Insert(%d): %v", i, err)
 				}
 			}

@@ -164,8 +164,11 @@ func (c *Cache[K, V]) advance(st Stamp) {
 		return
 	}
 	if len(c.entries) > 0 {
-		c.entries = make(map[K]V)
-		c.costs = make(map[K]int)
+		// Reset in place: the maps keep their buckets for the next stamp's
+		// entries instead of regrowing from empty after every invalidation.
+		clear(c.entries)
+		clear(c.costs)
+		clear(c.order)
 		c.order = c.order[:0]
 		c.bytes = 0
 		c.invalidations++
